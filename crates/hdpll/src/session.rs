@@ -39,27 +39,24 @@
 //! for why proofs stay sound across queries.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
 use rtl_ir::simplify::{SignalMap, Simplifier, SimplifyStats};
-use rtl_ir::{analysis, eval, Netlist, SignalId};
-use rtl_obs::{DurHist, ObsHandle, PhaseAcc};
+use rtl_ir::{eval, Netlist, SignalId};
+use rtl_obs::{DurHist, ObsHandle};
 use rtl_proof::{Checker, Proof};
 
 use crate::compile::compile;
-use crate::decide::{pick_activity, LearnWeights};
-use crate::engine::{ConflictInfo, Engine, Propagation};
-use crate::final_check::{final_check, FinalOutcome};
-use crate::justify::{pick_structural, Structural, StructuralIndex};
+use crate::decide::LearnWeights;
+use crate::engine::{Engine, EngineStats, Propagation};
 use crate::predlearn;
 use crate::prooflog::ProofLog;
-use crate::solver::{
-    flush_search_phases, HdpllResult, LearningMode, Limits, SolverConfig, SolverStats,
-    P_ANALYZE, P_DECIDE, P_FINAL, P_PROOF, P_PROPAGATE, P_RESTART, SEARCH_PHASES,
-};
-use crate::supervise::CancelToken;
-use crate::types::{AbortReason, DecisionStrategy, Dom, RestartMode, VarId};
+use crate::search::{self, Outcome, Search};
+use crate::solver::{HdpllResult, LearningMode, Limits, SolverConfig, SolverStats};
+use crate::supervise::{CancelToken, StageOutcome};
+use crate::types::{AbortReason, VarId};
 
 /// One assumption of an incremental query: `signal = value`, pinned
 /// for the duration of a single [`Session::solve`] call.
@@ -119,16 +116,6 @@ pub struct Certified {
     /// Why the query stopped early, when the verdict is
     /// [`HdpllResult::Unknown`].
     pub abort: Option<AbortReason>,
-}
-
-/// Which way a query's search concluded (internal).
-enum Verdict {
-    Sat(Vec<i64>),
-    /// The empty clause was derived: unsat regardless of assumptions.
-    RootUnsat,
-    /// An assumption was implied false below its own level.
-    AssumptionConflict,
-    Unknown(AbortReason),
 }
 
 /// An incremental solve session over one growing netlist. See the
@@ -424,10 +411,28 @@ impl Session {
             })
             .collect();
 
-        if self.root_unsat {
-            return self.certify_unsat(&asm);
-        }
+        let stats_base = self.engine.stats;
+        let certified = if self.root_unsat {
+            self.certify_unsat(&asm)
+        } else {
+            self.search_and_certify(assumptions, &asm, &stats_base, cancel)
+        };
+        // Quiescence: only level-0 facts stay live between queries.
+        self.engine.backtrack(0);
+        self.stats.abort = certified.abort;
+        self.stats.engine = search::project_stats(&self.obs, &self.engine, &stats_base);
+        certified
+    }
 
+    /// Runs one query's search under a fresh budget and certifies its
+    /// verdict.
+    fn search_and_certify(
+        &mut self,
+        assumptions: &[Assumption],
+        asm: &[(VarId, bool)],
+        stats_base: &EngineStats,
+        cancel: Option<CancelToken>,
+    ) -> Certified {
         // Fresh budget per query; a previous query's sticky abort (and
         // any propagation it cut short) is recovered by re-scheduling
         // every constraint below.
@@ -442,211 +447,38 @@ impl Session {
         );
         self.engine.set_obs(self.obs.clone());
         self.engine.schedule_all();
-        let stats_base = self.engine.stats;
 
-        let mut acc = PhaseAcc::<SEARCH_PHASES>::new(self.obs.profiling());
-        self.obs.profile_enter("search");
-        let verdict = {
-            let Session {
-                netlist,
-                pre,
-                engine,
-                config,
-                proof,
-                weights,
-                has_weights,
-                ..
-            } = self;
-            let solved = pre.as_ref().map_or(&*netlist, Simplifier::netlist);
-            let weights_ref = has_weights.then_some(&*weights);
-
-            // Chronological flipping would flip assumption decisions;
-            // sessions always learn (see the module docs).
-            let learning = match config.learning {
+        // Chronological flipping would flip assumption decisions;
+        // sessions always learn (see the module docs).
+        let config = SolverConfig {
+            learning: match self.config.learning {
                 LearningMode::None => LearningMode::Hybrid,
                 mode => mode,
-            };
-            let restart_mode = match config.decision {
-                DecisionStrategy::Activity => config.restarts,
-                DecisionStrategy::Structural => RestartMode::Off,
-            };
-            let db_cfg = config.db;
-            let structural_index = match config.decision {
-                DecisionStrategy::Structural => {
-                    // `StructuralIndex` scores by topological level,
-                    // indexed by *variable*; translate the signal-level
-                    // vector through the (segment-wise) allocation map.
-                    let levels = analysis::levels(solved);
-                    let mut var_levels = vec![0u32; engine.doms.len()];
-                    for (sig, &lvl) in levels.iter().enumerate() {
-                        var_levels[engine.compiled.sig_var[sig].index()] = lvl;
-                    }
-                    Some(StructuralIndex::new(engine, &var_levels))
-                }
-                DecisionStrategy::Activity => None,
-            };
-
-            let handle_conflict = |engine: &mut Engine,
-                                   proof: &mut Option<ProofLog>,
-                                   conflict: &ConflictInfo,
-                                   acc: &mut PhaseAcc<SEARCH_PHASES>| {
-                let bool_only = learning == LearningMode::BoolOnly;
-                match engine.analyze_mode(conflict, bool_only) {
-                    None => false,
-                    Some(mut a) => {
-                        let used = std::mem::take(&mut a.used);
-                        let cid = engine.learn_and_backtrack(a);
-                        acc.tick(P_ANALYZE);
-                        if let Some(p) = proof.as_mut() {
-                            p.log_engine_clause(engine, cid, Vec::new(), &used);
-                            acc.tick(P_PROOF);
-                        }
-                        if engine.should_restart(restart_mode) {
-                            engine.restart();
-                            acc.tick(P_RESTART);
-                        }
-                        if let Some(dropped) = engine.maybe_reduce(&db_cfg) {
-                            if let Some(p) = proof.as_mut() {
-                                p.log_deletions(&dropped);
-                                acc.tick(P_PROOF);
-                            }
-                        }
-                        true
-                    }
-                }
-            };
-
-            let search_start = Instant::now();
-            acc.begin();
-            let verdict = loop {
-                match engine.propagate() {
-                    Propagation::Conflict(conflict) => {
-                        acc.tick(P_PROPAGATE);
-                        let live = handle_conflict(engine, proof, &conflict, &mut acc);
-                        acc.tick(P_ANALYZE);
-                        if !live {
-                            break Verdict::RootUnsat;
-                        }
-                        continue;
-                    }
-                    Propagation::Aborted(reason) => {
-                        acc.tick(P_PROPAGATE);
-                        break Verdict::Unknown(reason);
-                    }
-                    Propagation::Fixpoint => acc.tick(P_PROPAGATE),
-                }
-                if let Some(reason) = exceeded(&config.limits, engine, &stats_base, deadline) {
-                    break Verdict::Unknown(reason);
-                }
-                // Re-establish the assumption prefix: level `i + 1`
-                // carries assumption `i` (an empty level when it is
-                // already implied). Backjumps and restarts may unwind
-                // into the prefix; this loop rebuilds it.
-                let lvl = engine.level() as usize;
-                if lvl < asm.len() {
-                    let (var, value) = asm[lvl];
-                    match engine.dom(var) {
-                        Dom::B(t) => match t.to_bool() {
-                            Some(v) if v == value => engine.open_level(),
-                            Some(_) => break Verdict::AssumptionConflict,
-                            None => engine.decide(var, value),
-                        },
-                        Dom::W(_) => unreachable!("assumptions are validated Boolean"),
-                    }
-                    acc.tick(P_DECIDE);
-                    continue;
-                }
-                let decision = match &structural_index {
-                    Some(index) => match pick_structural(engine, index, weights_ref) {
-                        Structural::Decision(var, value) => Some((var, value)),
-                        Structural::Done => None,
-                        Structural::JConflict(conflict) => {
-                            engine.stats.j_conflicts += 1;
-                            acc.tick(P_DECIDE);
-                            let live = handle_conflict(engine, proof, &conflict, &mut acc);
-                            acc.tick(P_ANALYZE);
-                            if !live {
-                                break Verdict::RootUnsat;
-                            }
-                            continue;
-                        }
-                    },
-                    None => pick_activity(engine, weights_ref, true),
-                };
-                match decision {
-                    Some((var, value)) => {
-                        engine.decide(var, value);
-                        acc.tick(P_DECIDE);
-                    }
-                    None => {
-                        acc.tick(P_DECIDE);
-                        match final_check(engine) {
-                            FinalOutcome::Sat(values) => {
-                                acc.tick(P_FINAL);
-                                break Verdict::Sat(values);
-                            }
-                            FinalOutcome::Conflict(conflict) => {
-                                acc.tick(P_FINAL);
-                                let live = handle_conflict(engine, proof, &conflict, &mut acc);
-                                acc.tick(P_ANALYZE);
-                                if !live {
-                                    break Verdict::RootUnsat;
-                                }
-                            }
-                            FinalOutcome::Aborted(reason) => {
-                                acc.tick(P_FINAL);
-                                break Verdict::Unknown(reason);
-                            }
-                        }
-                    }
-                }
-            };
-            self.stats.search_time += search_start.elapsed();
-            verdict
+            },
+            ..self.config
         };
-        flush_search_phases(&self.obs, &acc);
-        self.obs.profile_exit();
+        let (outcome, search_time) = Search {
+            config: &config,
+            netlist: self.pre.as_ref().map_or(&self.netlist, Simplifier::netlist),
+            weights: self.has_weights.then_some(&self.weights),
+            assumptions: asm,
+            base: stats_base,
+            deadline,
+            corrupt_deletion: None,
+            obs: &self.obs,
+        }
+        .run(&mut self.engine, &mut self.proof);
+        self.stats.search_time += search_time;
 
         self.obs.profile_enter("certify");
-        let certified = match verdict {
-            Verdict::Sat(values) => {
-                // Read the model over the *original* inputs (inputs are
-                // never merged or pruned by session preprocessing, so
-                // each has its own image variable); certification below
-                // replays it through the original netlist.
-                let model: HashMap<SignalId, i64> = eval::input_ids(&self.netlist)
-                    .into_iter()
-                    .map(|id| {
-                        let sig = self.pre.as_ref().map_or(id, |p| p.map(id));
-                        (id, values[self.engine.compiled.var_of(sig).index()])
-                    })
-                    .collect();
-                let cert = match eval::eval(&self.netlist, &model) {
-                    Ok(vals) => {
-                        let ok = assumptions
-                            .iter()
-                            .all(|a| vals.get(a.signal) == Some(i64::from(a.value)));
-                        if ok {
-                            SessionCert::ModelVerified
-                        } else {
-                            SessionCert::Uncertified
-                        }
-                    }
-                    Err(_) => SessionCert::Uncertified,
-                };
-                Certified {
-                    result: HdpllResult::Sat(model),
-                    cert,
-                    proof: None,
-                    abort: None,
-                }
-            }
-            Verdict::RootUnsat => {
+        let certified = match outcome {
+            Outcome::Sat(values) => self.certify_sat(assumptions, &values),
+            Outcome::Refuted => {
                 self.mark_root_unsat();
-                self.certify_unsat(&asm)
+                self.certify_unsat(asm)
             }
-            Verdict::AssumptionConflict => self.certify_unsat(&asm),
-            Verdict::Unknown(reason) => Certified {
+            Outcome::AssumptionConflict => self.certify_unsat(asm),
+            Outcome::Unknown(reason) => Certified {
                 result: HdpllResult::Unknown,
                 cert: SessionCert::Uncertified,
                 proof: None,
@@ -654,12 +486,35 @@ impl Session {
             },
         };
         self.obs.profile_exit();
-
-        // Quiescence: only level-0 facts stay live between queries.
-        self.engine.backtrack(0);
-        self.stats.abort = certified.abort;
-        self.finish_stats();
         certified
+    }
+
+    /// Reads the model over the *original* inputs (inputs are never
+    /// merged or pruned by session preprocessing, so each has its own
+    /// image variable) and replays it through the original netlist.
+    fn certify_sat(&self, assumptions: &[Assumption], values: &[i64]) -> Certified {
+        let model: HashMap<SignalId, i64> = eval::input_ids(&self.netlist)
+            .into_iter()
+            .map(|id| {
+                let sig = self.pre.as_ref().map_or(id, |p| p.map(id));
+                (id, values[self.engine.compiled.var_of(sig).index()])
+            })
+            .collect();
+        let verified = eval::eval(&self.netlist, &model).is_ok_and(|vals| {
+            assumptions
+                .iter()
+                .all(|a| vals.get(a.signal) == Some(i64::from(a.value)))
+        });
+        Certified {
+            result: HdpllResult::Sat(model),
+            cert: if verified {
+                SessionCert::ModelVerified
+            } else {
+                SessionCert::Uncertified
+            },
+            proof: None,
+            abort: None,
+        }
     }
 
     /// Derived the empty clause: record it in the proof log (mirroring
@@ -701,17 +556,6 @@ impl Session {
             abort: None,
         }
     }
-
-    /// Projects cumulative engine counters into [`SolverStats`] (same
-    /// shape as [`crate::Solver::stats`]).
-    fn finish_stats(&mut self) {
-        self.stats.engine = self.engine.stats;
-        self.stats.engine.mem_peak = self
-            .stats
-            .engine
-            .mem_peak
-            .max(self.engine.approx_mem_bytes());
-    }
 }
 
 /// Per-query record of a rung the [`SupervisedSession`] gave up on.
@@ -719,9 +563,22 @@ impl Session {
 pub struct SessionFallback {
     /// The rung's label.
     pub rung: String,
-    /// Why it was abandoned (panic message, certification failure,
-    /// abort reason).
-    pub why: String,
+    /// Why it was abandoned: [`StageOutcome::Panicked`],
+    /// [`StageOutcome::CertFailed`] or [`StageOutcome::Unknown`]. Its
+    /// text is this record's [`Display`](fmt::Display).
+    pub outcome: StageOutcome,
+}
+
+impl fmt::Display for SessionFallback {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.outcome {
+            StageOutcome::Panicked { detail } | StageOutcome::CertFailed { detail } => {
+                f.write_str(detail)
+            }
+            StageOutcome::Unknown { reason } => f.write_str(reason),
+            other => write!(f, "{other}"),
+        }
+    }
 }
 
 /// The outcome of one [`SupervisedSession::solve`] call.
@@ -908,10 +765,12 @@ impl SupervisedSession {
                 match built {
                     Ok(s) => self.session = Some(s),
                     Err(payload) => {
-                        let why = format!(
-                            "session construction panicked: {}",
-                            crate::supervise::panic_message(&payload)
-                        );
+                        let why = StageOutcome::Panicked {
+                            detail: format!(
+                                "session construction panicked: {}",
+                                crate::supervise::panic_message(&payload)
+                            ),
+                        };
                         if !self.degrade(&label, why, &mut fallbacks) {
                             return give_up(fallbacks);
                         }
@@ -924,10 +783,12 @@ impl SupervisedSession {
                 session.solve_cancellable(assumptions, cancel)
             }));
             let why = match run {
-                Err(payload) => format!(
-                    "solve panicked: {}",
-                    crate::supervise::panic_message(&payload)
-                ),
+                Err(payload) => StageOutcome::Panicked {
+                    detail: format!(
+                        "solve panicked: {}",
+                        crate::supervise::panic_message(&payload)
+                    ),
+                },
                 Ok(certified) => match accept(&label, &config, &certified) {
                     Ok(()) => {
                         return SupervisedQuery {
@@ -957,12 +818,17 @@ impl SupervisedSession {
     /// Drops the discredited session and moves to the next rung;
     /// `false` when the ladder is exhausted (the last rung stays
     /// active for future queries — its replacement is rebuilt fresh).
-    fn degrade(&mut self, label: &str, why: String, fallbacks: &mut Vec<SessionFallback>) -> bool {
+    fn degrade(
+        &mut self,
+        label: &str,
+        outcome: StageOutcome,
+        fallbacks: &mut Vec<SessionFallback>,
+    ) -> bool {
         self.session = None;
         self.degradations += 1;
         fallbacks.push(SessionFallback {
             rung: label.to_string(),
-            why,
+            outcome,
         });
         if self.active + 1 < self.rungs.len() {
             self.active += 1;
@@ -976,18 +842,23 @@ impl SupervisedSession {
 /// Why a rung's answer cannot be accepted, or `Ok(())` if it can. With
 /// proof logging on, an Unsat must be proof-checked; with it off,
 /// Uncertified Unsat is the best the rung can do and is accepted.
-fn accept(label: &str, config: &SolverConfig, certified: &Certified) -> Result<(), String> {
+fn accept(label: &str, config: &SolverConfig, certified: &Certified) -> Result<(), StageOutcome> {
+    let rejected = |what: &str| StageOutcome::CertFailed {
+        detail: format!("{label}: {what}"),
+    };
     match (&certified.result, certified.cert) {
         (HdpllResult::Sat(_), SessionCert::ModelVerified) => Ok(()),
-        (HdpllResult::Sat(_), _) => Err(format!("{label}: SAT model rejected by the simulator")),
+        (HdpllResult::Sat(_), _) => Err(rejected("SAT model rejected by the simulator")),
         (HdpllResult::Unsat, SessionCert::ProofChecked) => Ok(()),
         (HdpllResult::Unsat, _) if !config.proof => Ok(()),
-        (HdpllResult::Unsat, _) => Err(format!("{label}: UNSAT proof rejected or missing")),
+        (HdpllResult::Unsat, _) => Err(rejected("UNSAT proof rejected or missing")),
         (HdpllResult::Unknown, _) => {
             let reason = certified
                 .abort
                 .map_or_else(|| "budget exhausted".to_string(), |r| r.to_string());
-            Err(format!("{label}: unknown ({reason})"))
+            Err(StageOutcome::Unknown {
+                reason: format!("{label}: unknown ({reason})"),
+            })
         }
     }
 }
@@ -1004,42 +875,4 @@ fn give_up(fallbacks: Vec<SessionFallback>) -> SupervisedQuery {
         answered_by: None,
         fallbacks,
     }
-}
-
-/// Per-query limit check: counters are compared against their value at
-/// query start, so one query's spend never charges the next.
-fn exceeded(
-    limits: &Limits,
-    engine: &Engine,
-    base: &crate::engine::EngineStats,
-    deadline: Option<Instant>,
-) -> Option<AbortReason> {
-    if limits
-        .max_decisions
-        .is_some_and(|m| engine.stats.decisions - base.decisions >= m)
-    {
-        return Some(AbortReason::Decisions);
-    }
-    if limits
-        .max_conflicts
-        .is_some_and(|m| engine.stats.conflicts - base.conflicts >= m)
-    {
-        return Some(AbortReason::Conflicts);
-    }
-    if limits
-        .max_propagations
-        .is_some_and(|m| engine.stats.propagations - base.propagations >= m)
-    {
-        return Some(AbortReason::Propagations);
-    }
-    if limits
-        .max_memory
-        .is_some_and(|m| engine.approx_mem_bytes() > m)
-    {
-        return Some(AbortReason::Memory);
-    }
-    if deadline.is_some_and(|d| Instant::now() >= d) {
-        return Some(AbortReason::Deadline);
-    }
-    None
 }

@@ -223,22 +223,10 @@ fn session_result(
 ) -> SupervisedResult {
     let mut reports: Vec<StageReport> = q
         .fallbacks
-        .iter()
+        .into_iter()
         .map(|f| StageReport {
-            stage: f.rung.clone(),
-            outcome: if f.why.contains("panicked") {
-                StageOutcome::Panicked {
-                    detail: f.why.clone(),
-                }
-            } else if f.why.contains("rejected") {
-                StageOutcome::CertFailed {
-                    detail: f.why.clone(),
-                }
-            } else {
-                StageOutcome::Unknown {
-                    reason: f.why.clone(),
-                }
-            },
+            stage: f.rung,
+            outcome: f.outcome,
             time: Duration::ZERO,
             stats: None,
         })

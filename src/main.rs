@@ -815,7 +815,7 @@ fn solve_session(
         let q = session.solve(&[Assumption::yes(goal)]);
         if args.stats {
             for f in &q.fallbacks {
-                eprintln!("c goal {name}: rung {} abandoned: {}", f.rung, f.why);
+                eprintln!("c goal {name}: rung {} abandoned: {f}", f.rung);
             }
         }
         match &q.certified.result {
@@ -850,7 +850,7 @@ fn solve_session(
             }
             HdpllResult::Unknown => {
                 unknowns += 1;
-                if q.fallbacks.iter().any(|f| f.why.contains("rejected")) {
+                if q.fallbacks.iter().any(|f| f.outcome.is_cert_failure()) {
                     cert_failures += 1;
                     println!("goal {name}: UNKNOWN (certification failure)");
                 } else {

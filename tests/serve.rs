@@ -524,6 +524,37 @@ fn served_records_agree_with_fresh_process_records() {
 }
 
 #[test]
+fn cached_session_records_carry_engine_counters() {
+    // A cache miss builds the session, a hit reuses it: both records
+    // must carry the query's engine counters and peaks, as a one-shot
+    // record does.
+    let file = golden_dir().join("b01_p1_20.rtl");
+    let request = format!(
+        "{{\"id\":\"q\",\"file\":\"{}\",\"goal\":\"bad_p1\",\"timeout_ms\":60000}}\n",
+        file.to_str().expect("utf8 path")
+    );
+    let (lines, exit) = run_serve(&request.repeat(2), &["--session-cache", "4"]);
+    assert_eq!(exit, 0);
+    let records: Vec<Value> = lines
+        .iter()
+        .filter(|l| l.contains("\"type\":\"result\""))
+        .map(|l| parse_record(l))
+        .collect();
+    assert_eq!(records.len(), 2);
+    for (record, cache) in records.iter().zip(["compile_cache_miss", "compile_cache_hit"]) {
+        assert_eq!(str_of(record, "verdict"), "UNSAT");
+        let counters = record.get("counters").expect("counters");
+        for key in [cache, "decisions", "propagations", "conflicts", "learned", "backtracks"] {
+            assert!(counters.get(key).is_some(), "{cache} record lacks counter `{key}`");
+        }
+        let peaks = record.get("peaks").expect("peaks");
+        for key in ["max_cqueue", "max_clqueue", "ant_pool_peak", "mem_peak"] {
+            assert!(peaks.get(key).is_some(), "{cache} record lacks peak `{key}`");
+        }
+    }
+}
+
+#[test]
 fn unix_socket_serves_connections() {
     use std::os::unix::net::UnixStream;
 
