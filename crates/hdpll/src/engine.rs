@@ -146,6 +146,25 @@ pub struct EngineStats {
     pub mem_peak: u64,
 }
 
+/// Reusable buffers of [`Engine::analyze_mode`]. Between conflicts
+/// every flag is false and every list empty.
+#[derive(Default)]
+struct AnalyzeScratch {
+    /// Per trail index: the entry is in the current cut.
+    marked: Vec<bool>,
+    /// Per trail index: the entry was reached (marked now, or expanded
+    /// or passed through in bool-only mode earlier in this conflict).
+    visited: Vec<bool>,
+    /// Trail indices with `visited` set, to reset the flags afterwards.
+    touched: Vec<u32>,
+    /// Per decision level: how many marked entries it holds.
+    level_marks: Vec<u32>,
+    /// Worklist of the transitive bool-only marking.
+    stack: Vec<u32>,
+    /// Per variable: already contributed a literal to the lemma.
+    var_done: Vec<bool>,
+}
+
 pub(crate) struct Engine {
     pub compiled: std::sync::Arc<Compiled>,
     pub doms: Vec<Dom>,
@@ -201,6 +220,8 @@ pub(crate) struct Engine {
     /// Reusable change buffer handed to the constraint contractors, so
     /// steady-state propagation performs no heap allocation.
     change_buf: Vec<(VarId, Dom)>,
+    /// Conflict-analysis buffers, kept across conflicts.
+    analyze: AnalyzeScratch,
     /// Live literal count across the clause database, maintained by
     /// [`Engine::add_clause`] / [`Engine::delete_clause`] so the memory
     /// estimate never walks the database.
@@ -251,6 +272,7 @@ impl Engine {
             saved_phase: vec![Tribool::Unknown; n],
             ant_pool: Vec::new(),
             change_buf: Vec::new(),
+            analyze: AnalyzeScratch::default(),
             clause_lits: 0,
             budget: BudgetGuard::default(),
             aborted: None,
@@ -1077,28 +1099,36 @@ impl Engine {
     /// the instance is UNSAT.
     pub fn analyze_mode(&mut self, conflict: &ConflictInfo, bool_only: bool) -> Option<Analyzed> {
         self.stats.conflicts += 1;
-        let mut marked = vec![false; self.trail.len()];
-        let mut visited = vec![false; self.trail.len()];
+        let mut sc = std::mem::take(&mut self.analyze);
+        let len = self.trail.len();
+        if sc.marked.len() < len {
+            sc.marked.resize(len, false);
+            sc.visited.resize(len, false);
+        }
+        sc.level_marks.clear();
+        sc.level_marks.resize(self.level() as usize + 1, 0);
         let mut nmarked = 0usize;
         let mut used: Vec<u32> = conflict.source.into_iter().collect();
         // Marks an entry; in bool-only mode word entries are transitively
         // replaced by their antecedents.
         macro_rules! mark {
             ($idx:expr) => {{
-                let mut stack: Vec<u32> = vec![$idx];
-                while let Some(i) = stack.pop() {
+                sc.stack.push($idx);
+                while let Some(i) = sc.stack.pop() {
                     let e = &self.trail[i as usize];
-                    if e.level == 0 || visited[i as usize] {
+                    if e.level == 0 || sc.visited[i as usize] {
                         continue;
                     }
-                    visited[i as usize] = true;
+                    sc.visited[i as usize] = true;
+                    sc.touched.push(i);
                     if let Reason::Clause(c) = e.reason {
                         used.push(c);
                     }
                     if bool_only && !e.is_bool() {
-                        stack.extend_from_slice(&self.ant_pool[e.ants.range()]);
+                        sc.stack.extend_from_slice(&self.ant_pool[e.ants.range()]);
                     } else {
-                        marked[i as usize] = true;
+                        sc.marked[i as usize] = true;
+                        sc.level_marks[e.level as usize] += 1;
                         nmarked += 1;
                         let var = e.var;
                         self.bump(var);
@@ -1109,47 +1139,51 @@ impl Engine {
         for &i in &conflict.antecedents {
             mark!(i);
         }
-        if nmarked == 0 {
-            return None;
-        }
 
-        loop {
-            // Current analysis level = max level among marked entries.
-            let lmax = marked
-                .iter()
-                .enumerate()
-                .filter(|&(_, &m)| m)
-                .map(|(i, _)| self.trail[i].level)
-                .max()
-                .expect("marks non-empty");
-            if lmax == 0 {
-                return None;
+        // Trail levels are monotone and an entry's antecedents precede
+        // it, so the latest marked entry is always at the highest marked
+        // level and every expansion marks only entries below it: one
+        // cursor walking down the trail visits each entry once.
+        let mut cursor = len;
+        let analyzed = loop {
+            if nmarked == 0 {
+                break None;
             }
-            let at_lmax: Vec<usize> = marked
-                .iter()
-                .enumerate()
-                .filter(|&(i, &m)| m && self.trail[i].level == lmax)
-                .map(|(i, _)| i)
-                .collect();
-            let latest = *at_lmax.last().expect("non-empty");
-            if at_lmax.len() == 1 && self.trail[latest].is_bool() {
-                // UIP found.
+            cursor -= 1;
+            while !sc.marked[cursor] {
+                cursor -= 1;
+            }
+            let latest = cursor;
+            let lmax = self.trail[latest].level;
+            if lmax == 0 {
+                break None;
+            }
+            if sc.level_marks[lmax as usize] == 1 && self.trail[latest].is_bool() {
+                // UIP found. Other marked entries: dedup per var keeping
+                // the latest (smallest/strongest assignment → valid
+                // clause).
                 let uip = latest;
                 let mut lits = vec![self.trail[uip].as_conflict_lit()];
                 let mut blevel = 0;
-                // Other marked entries: dedup per var keeping the latest
-                // (smallest/strongest assignment → valid clause).
-                let mut best: std::collections::HashMap<VarId, usize> =
-                    std::collections::HashMap::new();
-                for (i, &m) in marked.iter().enumerate() {
-                    if m && i != uip {
-                        let e = best.entry(self.trail[i].var).or_insert(i);
-                        *e = (*e).max(i);
+                let mut rest: Vec<u32> = sc
+                    .touched
+                    .iter()
+                    .copied()
+                    .filter(|&i| sc.marked[i as usize] && i as usize != uip)
+                    .collect();
+                rest.sort_unstable_by(|a, b| b.cmp(a));
+                if sc.var_done.len() < self.doms.len() {
+                    sc.var_done.resize(self.doms.len(), false);
+                }
+                for &i in &rest {
+                    let e = &self.trail[i as usize];
+                    if !std::mem::replace(&mut sc.var_done[e.var.index()], true) {
+                        lits.push(e.as_conflict_lit());
+                        blevel = blevel.max(e.level);
                     }
                 }
-                for &i in best.values() {
-                    lits.push(self.trail[i].as_conflict_lit());
-                    blevel = blevel.max(self.trail[i].level);
+                for &i in &rest {
+                    sc.var_done[self.trail[i as usize].var.index()] = false;
                 }
                 debug_assert!(blevel < lmax);
                 used.sort_unstable();
@@ -1157,40 +1191,38 @@ impl Engine {
                 for &cid in &used {
                     self.bump_clause(cid);
                 }
-                self.obs.conflict(
-                    lits.len() as u32,
-                    conflict.antecedents.len() as u32,
-                    lmax,
-                );
-                return Some(Analyzed {
-                    lits,
-                    blevel,
-                    used,
-                });
+                self.obs
+                    .conflict(lits.len() as u32, conflict.antecedents.len() as u32, lmax);
+                break Some(Analyzed { lits, blevel, used });
             }
             // Expand the latest marked entry at lmax.
-            let e_idx = latest;
-            marked[e_idx] = false;
+            sc.marked[latest] = false;
+            sc.level_marks[lmax as usize] -= 1;
             nmarked -= 1;
-            let span = self.trail[e_idx].ants;
+            let span = self.trail[latest].ants;
             // The expanded entry is never a decision: a decision is the
             // *first* entry of its level, so with several marks at `lmax`
             // the latest one is an implied entry, and a single non-Boolean
             // mark is a word entry (decisions are Boolean). Implied entries
             // always carry antecedents; if those are all at level 0 the
-            // mark set simply shrinks (towards the UNSAT verdict below).
+            // mark set simply shrinks (towards the UNSAT verdict above).
             debug_assert!(
-                !span.is_empty() || !matches!(self.trail[e_idx].reason, Reason::Decision),
+                !span.is_empty() || !matches!(self.trail[latest].reason, Reason::Decision),
                 "attempted to expand a decision entry"
             );
             for k in span.range() {
                 let a = self.ant_pool[k];
+                debug_assert!((a as usize) < latest, "antecedent after its consequent");
                 mark!(a);
             }
-            if nmarked == 0 {
-                return None;
-            }
+        };
+        for &i in &sc.touched {
+            sc.visited[i as usize] = false;
+            sc.marked[i as usize] = false;
         }
+        sc.touched.clear();
+        self.analyze = sc;
+        analyzed
     }
 
     /// Learns the analyzed clause, backtracks, and asserts the UIP literal.

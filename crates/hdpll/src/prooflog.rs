@@ -91,6 +91,23 @@ impl ProofLog {
         self.mirror.var_count()
     }
 
+    /// The steps emitted so far, in the engine's variable layout.
+    pub fn steps(&self) -> &[Step] {
+        &self.steps
+    }
+
+    /// Lemmas the mirror could not justify so far.
+    pub fn gaps(&self) -> u32 {
+        self.gaps
+    }
+
+    /// Test hook: the emitted steps, writable after the mirror admitted
+    /// them.
+    #[cfg(test)]
+    pub fn steps_mut(&mut self) -> &mut [Step] {
+        &mut self.steps
+    }
+
     fn plit(lit: &HLit) -> PLit {
         match *lit {
             HLit::Bool { var, value } => PLit::Bool {
@@ -269,7 +286,15 @@ impl ProofLog {
     ///   if that fails the snapshot (only) gains a gap and cannot
     ///   certify. A session already at the empty clause (globally
     ///   unsat) needs no final clause.
-    pub fn snapshot(&mut self, sig_var: &[VarId], assumptions: &[(VarId, bool)]) -> Proof {
+    ///
+    /// Alongside the proof it returns that final step untranslated, in
+    /// the engine's layout (`None` when none was needed or found), for
+    /// a checker that grows with the session.
+    pub fn snapshot(
+        &mut self,
+        sig_var: &[VarId],
+        assumptions: &[(VarId, bool)],
+    ) -> (Proof, Option<Step>) {
         let n = self.mirror.var_count() as usize;
         let mut canon = vec![u32::MAX; n];
         for (i, v) in sig_var.iter().enumerate() {
@@ -319,25 +344,34 @@ impl ProofLog {
             })
             .collect();
         let mut gaps = self.gaps;
+        let mut final_step = None;
         if !steps.last().is_some_and(Step::is_empty_clause) {
-            let final_lits: Vec<PLit> = assumptions
+            let lits: Vec<PLit> = assumptions
                 .iter()
                 .map(|&(var, value)| PLit::Bool {
                     var: var.index() as u32,
                     value: !value,
                 })
                 .collect();
-            match self.mirror.find_splits(&final_lits) {
-                Some(splits) => steps.push(Step {
-                    lits: final_lits.iter().map(tr_lit).collect(),
-                    splits: splits.iter().map(tr_split).collect(),
-                    ants: Vec::new(),
-                    dels: Vec::new(),
-                }),
+            match self.mirror.find_splits(&lits) {
+                Some(splits) => {
+                    steps.push(Step {
+                        lits: lits.iter().map(tr_lit).collect(),
+                        splits: splits.iter().map(tr_split).collect(),
+                        ants: Vec::new(),
+                        dels: Vec::new(),
+                    });
+                    final_step = Some(Step {
+                        lits,
+                        splits,
+                        ants: Vec::new(),
+                        dels: Vec::new(),
+                    });
+                }
                 None => gaps += 1,
             }
         }
-        Proof {
+        let proof = Proof {
             var_count: self.mirror.var_count(),
             goal: self.goal.clone(),
             assumptions: assumptions
@@ -349,6 +383,7 @@ impl ProofLog {
                 .collect(),
             gaps,
             steps,
-        }
+        };
+        (proof, final_step)
     }
 }

@@ -31,9 +31,12 @@
 //! recompiling frames `0..=k`.
 //!
 //! **Certification**: with [`SolverConfig::proof`] enabled, every Unsat
-//! query is sealed into an *assumption proof* (format v3) checked by
-//! the independent [`rtl_proof::Checker`] before the verdict is
-//! reported as certified; Sat models are replayed through the
+//! query is sealed into an *assumption proof* (format v3), and the
+//! verdict is reported as certified only once the session's own
+//! [`rtl_proof::Checker`] — independent of the proof logger's mirror,
+//! grown with the netlist and fed nothing but the logged steps — has
+//! admitted every step logged since the previous query and refuted the
+//! query's final clause. Sat models are replayed through the
 //! [`rtl_ir::eval`] reference simulator and checked against the
 //! query's assumptions. See [`crate::prooflog::ProofLog::snapshot`]
 //! for why proofs stay sound across queries.
@@ -46,7 +49,7 @@ use std::time::Instant;
 use rtl_ir::simplify::{SignalMap, Simplifier, SimplifyStats};
 use rtl_ir::{eval, Netlist, SignalId};
 use rtl_obs::{DurHist, ObsHandle};
-use rtl_proof::{Checker, Proof};
+use rtl_proof::{Checker, Proof, Step};
 
 use crate::compile::compile;
 use crate::decide::LearnWeights;
@@ -94,8 +97,10 @@ pub enum SessionCert {
     /// Sat: the model was replayed through the [`rtl_ir::eval`]
     /// reference simulator and satisfies every assumption.
     ModelVerified,
-    /// Unsat: the query's assumption proof was accepted by the
-    /// independent [`rtl_proof::Checker`].
+    /// Unsat: the query's assumption proof was accepted by an
+    /// independent [`rtl_proof::Checker`] (the session's certifier,
+    /// which checks each logged step once; a fresh checker accepts the
+    /// exported [`Certified::proof`] the same way).
     ProofChecked,
     /// No independent validation (proof logging off, a proof gap, or an
     /// Unknown verdict).
@@ -130,6 +135,13 @@ pub struct Session {
     engine: Engine,
     config: SolverConfig,
     proof: Option<ProofLog>,
+    /// The certifier: a goal-free checker over the solved netlist,
+    /// grown alongside the engine, that admits each logged step once
+    /// (in the engine's variable layout) and never sees the mirror's
+    /// unchecked clauses. `None` with proof logging off, and for good
+    /// once a log gap, a variable-count mismatch or a rejected step
+    /// discredits the log — every later Unsat is then Uncertified.
+    certifier: Option<Checker>,
     weights: LearnWeights,
     has_weights: bool,
     /// The empty clause holds: every further query is Unsat.
@@ -164,6 +176,16 @@ impl Session {
     /// ([`Session::proof_netlist`]).
     #[must_use]
     pub fn with_preproc(netlist: &Netlist, config: SolverConfig, preproc: bool) -> Session {
+        let mut s = Session::open(netlist, config, preproc);
+        s.netlist = netlist.clone();
+        s
+    }
+
+    /// Everything [`Session::with_preproc`] derives from `netlist`, with
+    /// an empty netlist in its place: the caller moves the netlist in
+    /// once construction succeeded, so a construction panic never costs
+    /// a [`SupervisedSession`] its only copy.
+    fn open(netlist: &Netlist, config: SolverConfig, preproc: bool) -> Session {
         let preproc_start = Instant::now();
         let pre = preproc.then(|| {
             let mut s = Simplifier::new(netlist.name());
@@ -176,19 +198,22 @@ impl Session {
         let compiled = Arc::new(compile(solved));
         let compile_ns = u64::try_from(compile_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let engine = Engine::new(compiled);
-        let proof = if config.proof {
-            let p = ProofLog::new_free(solved);
-            (p.var_count() as usize == engine.compiled.init_dom.len()).then_some(p)
-        } else {
-            None
-        };
         let num_vars = engine.doms.len();
+        let (proof, certifier) = if config.proof {
+            let p = ProofLog::new_free(solved);
+            let c = Checker::new_free(solved);
+            let c = (c.var_count() as usize == num_vars).then_some(c);
+            ((p.var_count() as usize == num_vars).then_some(p), c)
+        } else {
+            (None, None)
+        };
         let mut s = Session {
-            netlist: netlist.clone(),
+            netlist: Netlist::default(),
             pre,
             engine,
             config,
             proof,
+            certifier,
             weights: LearnWeights::new(num_vars),
             has_weights: config.learn.is_some(),
             root_unsat: false,
@@ -205,7 +230,7 @@ impl Session {
         }
         if let (Some(cfg), false) = (s.config.learn, s.root_unsat) {
             let mut weights = std::mem::take(&mut s.weights);
-            let solved = s.pre.as_ref().map_or(&s.netlist, Simplifier::netlist);
+            let solved = s.pre.as_ref().map_or(netlist, Simplifier::netlist);
             let report = predlearn::run(&mut s.engine, solved, &cfg, &mut weights, &mut s.proof);
             s.weights = weights;
             s.stats.learn_time = report.time;
@@ -288,13 +313,21 @@ impl Session {
 
     /// Grows the netlist in place (the closure appends signals — it
     /// must never mutate existing ones) and extends the compiled
-    /// problem, the engine, and the proof mirror to match. Learned
-    /// clauses and level-0 facts survive: extension only *adds*
-    /// constraints, so everything derived so far remains valid.
+    /// problem, the engine, the proof mirror and the certifier to
+    /// match. Learned clauses and level-0 facts survive: extension only
+    /// *adds* constraints, so everything derived so far remains valid.
     pub fn extend(&mut self, grow: impl FnOnce(&mut Netlist)) {
+        grow(&mut self.netlist);
+        self.catch_up();
+    }
+
+    /// The second half of [`Session::extend`]: brings the solver state
+    /// up to signals already appended to the netlist. Split out so a
+    /// [`SupervisedSession`] can grow the netlist outside its panic
+    /// guard and catch up inside it.
+    fn catch_up(&mut self) {
         self.engine.backtrack(0);
         self.engine.clear_abort();
-        grow(&mut self.netlist);
         // The simplifier's output is itself append-only, so the grown
         // image extends the compiled problem the same way the raw
         // netlist would.
@@ -316,6 +349,13 @@ impl Session {
             // than emit proofs about the wrong variables.
             if p.var_count() as usize != self.engine.doms.len() {
                 self.proof = None;
+            }
+        }
+        if let Some(c) = &mut self.certifier {
+            let solved = self.pre.as_ref().map_or(&self.netlist, Simplifier::netlist);
+            c.extend(solved);
+            if c.var_count() as usize != self.engine.doms.len() {
+                self.certifier = None;
             }
         }
         if self.root_unsat {
@@ -526,35 +566,87 @@ impl Session {
         }
     }
 
+    /// Test hook: flips the first literal of logged step `step`, which
+    /// the logger's mirror has already admitted; `false` when there is
+    /// no such step.
+    #[cfg(test)]
+    pub(crate) fn flip_logged_literal(&mut self, step: usize) -> bool {
+        let Some(lit) = self
+            .proof
+            .as_mut()
+            .and_then(|log| log.steps_mut().get_mut(step))
+            .and_then(|s| s.lits.first_mut())
+        else {
+            return false;
+        };
+        *lit = lit.negated();
+        true
+    }
+
     /// Seals the current proof state into an assumption proof for an
-    /// Unsat verdict and re-checks it with the independent checker.
+    /// Unsat verdict and certifies it with the session's certifier.
     fn certify_unsat(&mut self, asm: &[(VarId, bool)]) -> Certified {
         let Session {
-            netlist,
-            pre,
             engine,
             proof,
+            certifier,
             ..
         } = self;
-        // Proofs are stated over the netlist the engine solved: the
-        // simplified image when preprocessing is on.
-        let solved = pre.as_ref().map_or(&*netlist, Simplifier::netlist);
-        let proof = proof
-            .as_mut()
-            .map(|p| p.snapshot(&engine.compiled.sig_var, asm));
-        let cert = match &proof {
-            Some(p) => match Checker::check_assumptions(solved, &p.assumptions, p) {
-                Ok(_) => SessionCert::ProofChecked,
-                Err(_) => SessionCert::Uncertified,
-            },
-            None => SessionCert::Uncertified,
-        };
+        let mut cert = SessionCert::Uncertified;
+        let proof = proof.as_mut().map(|log| {
+            let (proof, final_step) = log.snapshot(&engine.compiled.sig_var, asm);
+            if certify(certifier, log, &proof, final_step.as_ref()) {
+                cert = SessionCert::ProofChecked;
+            }
+            proof
+        });
         Certified {
             result: HdpllResult::Unsat,
             cert,
             proof,
             abort: None,
         }
+    }
+}
+
+/// Admits into `certifier` the log steps emitted since the previous
+/// query, then checks the query's final clause without installing it
+/// (it depends on the query's assumptions). The result is what a fresh
+/// [`Checker::check_assumptions`] of `proof` would say: the certifier
+/// holds exactly the admitted log steps, and each step it admitted
+/// against a smaller netlist stays implied by the grown one. A log gap,
+/// a variable-count mismatch or a rejected step drops the certifier, so
+/// this query and every later one stay uncertified.
+fn certify(
+    certifier: &mut Option<Checker>,
+    log: &ProofLog,
+    proof: &Proof,
+    final_step: Option<&Step>,
+) -> bool {
+    if log.gaps() > 0
+        || certifier
+            .as_ref()
+            .is_some_and(|c| c.var_count() != proof.var_count)
+    {
+        *certifier = None;
+    }
+    let Some(checker) = certifier else {
+        return false;
+    };
+    let start = checker.admitted() as usize;
+    if log.steps()[start..]
+        .iter()
+        .any(|step| checker.admit(step).is_err())
+    {
+        *certifier = None;
+        return false;
+    }
+    match final_step {
+        Some(step) => checker.check_clause(&step.lits, &step.splits).is_ok(),
+        // No final clause: either the log ends in the empty clause
+        // (just admitted) or the mirror could not justify one (a gap in
+        // this snapshot only).
+        None => proof.gaps == 0 && checker.derived_empty(),
     }
 }
 
@@ -603,17 +695,30 @@ pub struct SupervisedQuery {
 /// refuses), or returns Unknown, the ladder falls to the next rung and
 /// builds it a **fresh session** from the current netlist. Degradation
 /// is sticky: later queries start at the degraded rung, mirroring
-/// [`crate::Supervisor`]'s one-way ladder. A caught panic can only have
-/// poisoned engine state, never the netlist (plain data), so the fresh
-/// session is built from an uncorrupted problem.
+/// [`crate::Supervisor`]'s one-way ladder.
+///
+/// The ladder keeps one copy of the netlist: while a session is live it
+/// is the session's own, grown in place by [`SupervisedSession::extend`]
+/// outside the panic guard, and a dropped session hands it back before
+/// the next rung is built. A caught panic can only have poisoned solver
+/// state, never the netlist (plain data the guarded code only reads),
+/// so the fresh session is built from an uncorrupted problem.
 pub struct SupervisedSession {
-    netlist: Netlist,
+    state: Rung,
     rungs: Vec<(String, SolverConfig)>,
     active: usize,
-    session: Option<Session>,
     obs: ObsHandle,
     degradations: u32,
     preproc: bool,
+}
+
+/// Who holds the ladder's netlist.
+enum Rung {
+    /// No session is live (before the first query, or after a
+    /// degradation dropped one): the ladder holds the netlist.
+    Idle(Netlist),
+    /// The live session, which owns the netlist.
+    Live(Box<Session>),
 }
 
 impl SupervisedSession {
@@ -643,10 +748,9 @@ impl SupervisedSession {
     pub fn with_rungs(netlist: &Netlist, rungs: Vec<(String, SolverConfig)>) -> Self {
         assert!(!rungs.is_empty(), "ladder needs at least one rung");
         SupervisedSession {
-            netlist: netlist.clone(),
+            state: Rung::Idle(netlist.clone()),
             rungs,
             active: 0,
-            session: None,
             obs: ObsHandle::off(),
             degradations: 0,
             preproc: true,
@@ -665,7 +769,7 @@ impl SupervisedSession {
     /// Installs a telemetry handle, shared by every rung's session
     /// (the live session, if any, switches immediately).
     pub fn set_obs(&mut self, obs: ObsHandle) {
-        if let Some(s) = &mut self.session {
+        if let Rung::Live(s) = &mut self.state {
             s.set_obs(obs.clone());
         }
         self.obs = obs;
@@ -678,7 +782,7 @@ impl SupervisedSession {
         for (_, config) in &mut self.rungs {
             config.limits.max_time = max_time;
         }
-        if let Some(s) = &mut self.session {
+        if let Rung::Live(s) = &mut self.state {
             let mut limits = self.rungs[self.active].1.limits;
             limits.max_time = max_time;
             s.set_limits(limits);
@@ -689,7 +793,7 @@ impl SupervisedSession {
     /// after construction or a degradation dropped it).
     #[must_use]
     pub fn stats(&self) -> Option<&crate::SolverStats> {
-        self.session.as_ref().map(Session::stats)
+        self.session().map(Session::stats)
     }
 
     /// The live session, if any (`None` right after construction or
@@ -697,7 +801,10 @@ impl SupervisedSession {
     /// [`Session::proof_netlist`] when re-checking a query's proof.
     #[must_use]
     pub fn session(&self) -> Option<&Session> {
-        self.session.as_ref()
+        match &self.state {
+            Rung::Live(s) => Some(s),
+            Rung::Idle(_) => None,
+        }
     }
 
     /// The label of the rung currently answering queries.
@@ -715,25 +822,47 @@ impl SupervisedSession {
     /// The ladder's netlist as grown so far.
     #[must_use]
     pub fn netlist(&self) -> &Netlist {
-        &self.netlist
+        match &self.state {
+            Rung::Live(s) => s.netlist(),
+            Rung::Idle(n) => n,
+        }
     }
 
     /// Grows the netlist in place (see [`Session::extend`]); the live
-    /// session, if any, is extended to match.
+    /// session, if any, is extended to match. Only the solver catch-up
+    /// runs under the panic guard; a panic there drops the session and
+    /// keeps the grown netlist for the next rung.
     pub fn extend(&mut self, grow: impl FnOnce(&mut Netlist)) {
-        grow(&mut self.netlist);
-        let netlist = &self.netlist;
-        if let Some(session) = &mut self.session {
-            // Catching up the live session to the master is a pure
-            // extension: the master only grew.
-            let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                session.extend(|n| n.clone_from(netlist));
-            }))
-            .is_ok();
-            if !ok {
-                self.session = None;
+        match &mut self.state {
+            Rung::Idle(n) => grow(n),
+            Rung::Live(session) => {
+                grow(&mut session.netlist);
+                let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    session.catch_up();
+                }))
+                .is_ok();
+                if !ok {
+                    self.drop_session();
+                }
             }
         }
+    }
+
+    /// Test hook: the live session, if any.
+    #[cfg(test)]
+    pub(crate) fn session_mut(&mut self) -> Option<&mut Session> {
+        match &mut self.state {
+            Rung::Live(s) => Some(s),
+            Rung::Idle(_) => None,
+        }
+    }
+
+    /// Drops the live session, if any, taking its netlist back.
+    fn drop_session(&mut self) {
+        self.state = match std::mem::replace(&mut self.state, Rung::Idle(Netlist::default())) {
+            Rung::Live(s) => Rung::Idle(s.netlist),
+            idle => idle,
+        };
     }
 
     /// Decides satisfiability under `assumptions`, degrading through
@@ -753,17 +882,17 @@ impl SupervisedSession {
         let mut fallbacks = Vec::new();
         loop {
             let (label, config) = self.rungs[self.active].clone();
-            if self.session.is_none() {
-                let netlist = &self.netlist;
-                let obs = self.obs.clone();
+            if let Rung::Idle(netlist) = &mut self.state {
                 let preproc = self.preproc;
                 let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut s = Session::with_preproc(netlist, config, preproc);
-                    s.set_obs(obs);
-                    s
+                    Session::open(netlist, config, preproc)
                 }));
                 match built {
-                    Ok(s) => self.session = Some(s),
+                    Ok(mut s) => {
+                        s.netlist = std::mem::take(netlist);
+                        s.set_obs(self.obs.clone());
+                        self.state = Rung::Live(Box::new(s));
+                    }
                     Err(payload) => {
                         let why = StageOutcome::Panicked {
                             detail: format!(
@@ -778,7 +907,9 @@ impl SupervisedSession {
                     }
                 }
             }
-            let session = self.session.as_mut().expect("just built");
+            let Rung::Live(session) = &mut self.state else {
+                unreachable!("a session was just built")
+            };
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 session.solve_cancellable(assumptions, cancel)
             }));
@@ -824,7 +955,7 @@ impl SupervisedSession {
         outcome: StageOutcome,
         fallbacks: &mut Vec<SessionFallback>,
     ) -> bool {
-        self.session = None;
+        self.drop_session();
         self.degradations += 1;
         fallbacks.push(SessionFallback {
             rung: label.to_string(),

@@ -320,20 +320,7 @@ fn learn_report_present_only_with_learning() {
 /// (cf. the paper's Figure 2).
 #[test]
 fn predicate_learning_extracts_relations() {
-    let mut n = Netlist::new("corr");
-    let a = n.input_word("a", 4).unwrap();
-    let b = n.input_word("b", 4).unwrap();
-    let c = n.input_bool("c").unwrap();
-    let d = n.input_bool("d").unwrap();
-    // b5 = c ∨ d, b6 = d ∨ c: structurally different, logically equal.
-    let b5 = n.or(&[c, d]).unwrap();
-    let b6 = n.or(&[d, c]).unwrap();
-    let m1 = n.ite(b5, a, b).unwrap();
-    let m2 = n.ite(b6, b, a).unwrap();
-    let ne = n.cmp(CmpOp::Ne, m1, m2).unwrap();
-    let eq_ab = n.cmp(CmpOp::Eq, a, b).unwrap();
-    // goal: mux outputs differ while data inputs are equal — impossible.
-    let goal = n.and(&[ne, eq_ab]).unwrap();
+    let (n, goal) = correlated_muxes();
     let mut solver =
         Solver::new(&n, SolverConfig::structural_with_learning(LearnConfig::default()));
     assert!(solver.solve(goal).is_unsat());
@@ -394,10 +381,9 @@ fn bmc_counter_exact_depth() {
     assert!(!solve_all_validated(&unsat.netlist, unsat.bad));
 }
 
-#[test]
-fn bmc_guarded_counter() {
-    // Counter increments only when enabled; reaching 3 within 4 frames
-    // requires enable in every step.
+/// A counter that steps only when enabled: bad (`c = 3`) is refuted by
+/// propagation alone before frame 3 and needs decisions from frame 3 on.
+fn guarded_counter() -> SeqCircuit {
     let mut f = Netlist::new("gcnt");
     let c = f.input_word("c", 3).unwrap();
     let en = f.input_bool("en").unwrap();
@@ -408,7 +394,13 @@ fn bmc_guarded_counter() {
     let mut ckt = SeqCircuit::new(f);
     ckt.add_register(c, next, 0).unwrap();
     ckt.add_property("p", bad).unwrap();
+    ckt
+}
 
+#[test]
+fn bmc_guarded_counter() {
+    // Reaching 3 within 4 frames requires enable in every step.
+    let ckt = guarded_counter();
     let bmc = ckt.unroll("p", 4).unwrap();
     // SAT: en=1 in frames 0..2
     for (name, config) in all_configs() {
@@ -1054,4 +1046,143 @@ fn supervised_session_answers_and_degrades() {
     let q = ladder.solve(&[Assumption::no(goal)]);
     assert!(q.certified.result.is_sat());
     assert!(q.fallbacks.is_empty());
+}
+
+/// Two muxes whose selects are equal but built differently, and a goal
+/// asking their outputs to differ while the data inputs are equal —
+/// impossible (the paper's Figure 2 correlation). Refuting the negated
+/// goal under `hdpll` logs a conflict lemma.
+fn correlated_muxes() -> (Netlist, SignalId) {
+    let mut n = Netlist::new("corr");
+    let a = n.input_word("a", 4).unwrap();
+    let b = n.input_word("b", 4).unwrap();
+    let c = n.input_bool("c").unwrap();
+    let d = n.input_bool("d").unwrap();
+    // b5 = c ∨ d, b6 = d ∨ c: structurally different, logically equal.
+    let b5 = n.or(&[c, d]).unwrap();
+    let b6 = n.or(&[d, c]).unwrap();
+    let m1 = n.ite(b5, a, b).unwrap();
+    let m2 = n.ite(b6, b, a).unwrap();
+    let ne = n.cmp(CmpOp::Ne, m1, m2).unwrap();
+    let eq_ab = n.cmp(CmpOp::Eq, a, b).unwrap();
+    let goal = n.and(&[ne, eq_ab]).unwrap();
+    (n, goal)
+}
+
+/// The session's certifier reads the log, not the logger's verdict on
+/// it: a step the mirror admitted and then was altered is rejected at
+/// the next Unsat query, and that query and every later one stay
+/// uncertified — while Sat answers, certified by the simulator, are
+/// unaffected.
+#[test]
+fn certifier_rejects_a_log_step_altered_after_the_mirror_admitted_it() {
+    let (n, goal) = correlated_muxes();
+    let config = SolverConfig::hdpll().with_proof(true);
+    let mut session = Session::new(&n, config);
+    // A Sat query logs a lemma the mirror admits; nothing certifies it
+    // until the next Unsat query.
+    assert!(session.solve(&[Assumption::no(goal)]).result.is_sat());
+    assert!(
+        session.flip_logged_literal(0),
+        "the Sat query logged no step"
+    );
+    for round in 0..2 {
+        let q = session.solve(&[Assumption::yes(goal)]);
+        assert!(q.result.is_unsat(), "round {round}");
+        assert_eq!(q.cert, SessionCert::Uncertified, "round {round}");
+        let proof = q.proof.expect("proof logged");
+        assert!(rtl_proof::Checker::check(session.proof_netlist(), &proof).is_err());
+        let sat = session.solve(&[Assumption::no(goal)]);
+        assert_eq!(sat.cert, SessionCert::ModelVerified, "round {round}");
+    }
+
+    // Under supervision the uncertified rung is abandoned and the next
+    // rung, built fresh, certifies the same verdict.
+    let rungs = vec![
+        ("hdpll".to_string(), config),
+        (
+            "hdpll-s".to_string(),
+            SolverConfig::structural().with_proof(true),
+        ),
+    ];
+    let mut ladder = crate::SupervisedSession::with_rungs(&n, rungs);
+    let q = ladder.solve(&[Assumption::no(goal)]);
+    assert_eq!(q.answered_by.as_deref(), Some("hdpll"));
+    let live = ladder.session_mut().expect("a session answered");
+    assert!(live.flip_logged_literal(0));
+    let q = ladder.solve(&[Assumption::yes(goal)]);
+    assert!(q.certified.result.is_unsat());
+    assert_eq!(q.certified.cert, SessionCert::ProofChecked);
+    assert_eq!(q.answered_by.as_deref(), Some("hdpll-s"));
+    assert_eq!(q.fallbacks.len(), 1);
+    assert_eq!(q.fallbacks[0].rung, "hdpll");
+}
+
+/// A ladder extended frame by frame while its first rung's session is
+/// live, then forced to degrade: the rebuilt rung sees the whole grown
+/// netlist (taken back from the dropped session) and answers the deep
+/// query like a fresh solve.
+#[test]
+fn degrade_after_extend_rebuilds_from_the_grown_netlist() {
+    let ckt = guarded_counter();
+    let mut unroller = ckt.unroller();
+    let mut reference = ckt.unroller();
+    let base = {
+        let mut n = unroller.base_netlist();
+        unroller.push_frame(&mut n).unwrap();
+        n
+    };
+    let mut grown = reference.base_netlist();
+    reference.push_frame(&mut grown).unwrap();
+    // One decision is the query's assumption: the starved rung answers
+    // only what propagation decides.
+    let starved = (
+        "starved".to_string(),
+        SolverConfig::hdpll().with_proof(true).with_limits(Limits {
+            max_decisions: Some(1),
+            ..Limits::default()
+        }),
+    );
+    let healthy = ("hdpll".to_string(), SolverConfig::hdpll().with_proof(true));
+    let mut ladder = crate::SupervisedSession::with_rungs(&base, vec![starved, healthy]);
+    let mut degraded_at = None;
+    for depth in 0..=5usize {
+        if depth > 0 {
+            ladder.extend(|n| unroller.push_frame(n).unwrap());
+            reference.push_frame(&mut grown).unwrap();
+        }
+        assert_eq!(
+            rtl_ir::text::to_text(ladder.netlist()),
+            rtl_ir::text::to_text(&grown),
+            "depth {depth}"
+        );
+        let bad = unroller.bad("p", depth).unwrap();
+        let q = ladder.solve(&[Assumption::yes(bad)]);
+        let mono = ckt.unroll("p", depth + 1).unwrap();
+        let fresh = Solver::new(&mono.netlist, SolverConfig::hdpll()).solve(mono.bad);
+        assert!(
+            !matches!(q.certified.result, HdpllResult::Unknown),
+            "depth {depth}"
+        );
+        assert_eq!(q.certified.result.is_sat(), fresh.is_sat(), "depth {depth}");
+        assert_ne!(q.certified.cert, SessionCert::Uncertified, "depth {depth}");
+        if !q.fallbacks.is_empty() {
+            assert_eq!(degraded_at, None, "depth {depth}: degraded twice");
+            assert_eq!(q.fallbacks[0].rung, "starved");
+            degraded_at = Some(depth);
+        }
+        let expected = if degraded_at.is_some() {
+            "hdpll"
+        } else {
+            "starved"
+        };
+        assert_eq!(q.answered_by.as_deref(), Some(expected), "depth {depth}");
+    }
+    // Frames 0-2 are refuted by propagation; the first reachable frame
+    // needs a decision, after the session was extended in place.
+    assert!(
+        degraded_at.is_some_and(|d| d >= 3),
+        "degraded at {degraded_at:?}"
+    );
+    assert_eq!(ladder.degradations(), 1);
 }

@@ -155,47 +155,56 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
     expect(b, pos, b'"')?;
     let mut out = String::new();
     loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = b
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "invalid \\u escape")?;
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("invalid escape at byte {}", *pos)),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (the input is a &str, so the
-                // byte stream is valid UTF-8 by construction).
-                let rest = std::str::from_utf8(&b[*pos..]).map_err(|_| "non-utf8 string")?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+        // Copy the run up to the next quote or backslash in one go. Both
+        // delimiters are ASCII, so the run ends on a char boundary.
+        let run = b[*pos..]
+            .iter()
+            .position(|&c| c == b'"' || c == b'\\')
+            .ok_or("unterminated string")?;
+        out.push_str(std::str::from_utf8(&b[*pos..*pos + run]).map_err(|_| "non-utf8 string")?);
+        *pos += run;
+        if b[*pos] == b'"' {
+            *pos += 1;
+            return Ok(out);
         }
+        *pos += 1;
+        match b.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b't') => out.push('\t'),
+            Some(b'r') => out.push('\r'),
+            Some(b'b') => out.push('\u{8}'),
+            Some(b'f') => out.push('\u{c}'),
+            Some(b'u') => {
+                let mut code = hex4(b, *pos + 1)?;
+                *pos += 4;
+                // A high surrogate followed by an escaped low surrogate
+                // is one UTF-16 pair (how `json.dumps` writes non-BMP
+                // text); a lone surrogate decodes to U+FFFD.
+                if (0xd800..0xdc00).contains(&code) && b.get(*pos + 1..*pos + 3) == Some(b"\\u") {
+                    let low = hex4(b, *pos + 3)?;
+                    if (0xdc00..0xe000).contains(&low) {
+                        code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                        *pos += 6;
+                    }
+                }
+                out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+            }
+            _ => return Err(format!("invalid escape at byte {}", *pos)),
+        }
+        *pos += 1;
     }
+}
+
+/// The four hex digits of a `\u` escape starting at `at`.
+fn hex4(b: &[u8], at: usize) -> Result<u32, String> {
+    let digits = b.get(at..at + 4).ok_or("truncated \\u escape")?;
+    digits.iter().try_fold(0, |code, &d| {
+        let digit = char::from(d).to_digit(16).ok_or("invalid \\u escape")?;
+        Ok(code * 16 + digit)
+    })
 }
 
 fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
@@ -289,6 +298,57 @@ mod tests {
         assert!(parse("{\"a\" 1}").is_err());
         assert!(parse("12 34").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 2 MiB of mixed text and escapes: a parser that re-validates
+        // the rest of the input per character takes minutes on this.
+        let chunk = "netlist text é ∑ \\n\\\" ";
+        let body = chunk.repeat((2 << 20) / chunk.len());
+        let doc = format!("{{\"netlist\":\"{body}\"}}");
+        let start = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        assert!(start.elapsed() < std::time::Duration::from_secs(2));
+        let text = v.get("netlist").unwrap().as_str().unwrap();
+        assert!(text.starts_with("netlist text é ∑ \n\" "));
+        assert_eq!(text.len(), body.len() - 2 * (body.len() / chunk.len()));
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u004a\u00E9""#).unwrap().as_str(), Some("Jé"));
+        for bad in [
+            r#""\u+04a""#,
+            r#""\u-04a""#,
+            r#""\u00g1""#,
+            r#""\u 04a""#,
+            r#""\u04""#,
+        ] {
+            assert!(parse(bad).is_err(), "{bad} accepted");
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_scalar() {
+        assert_eq!(
+            parse(r#""\ud83d\ude00""#).unwrap().as_str(),
+            Some("\u{1f600}")
+        );
+        assert_eq!(
+            parse(r#""a\uD83D\uDE00b""#).unwrap().as_str(),
+            Some("a\u{1f600}b")
+        );
+        // Lone or misordered halves stay U+FFFD each.
+        assert_eq!(parse(r#""\ud83dx""#).unwrap().as_str(), Some("\u{fffd}x"));
+        assert_eq!(
+            parse(r#""\ude00\ud83d""#).unwrap().as_str(),
+            Some("\u{fffd}\u{fffd}")
+        );
+        assert_eq!(
+            parse(r#""\ud83d\u0041""#).unwrap().as_str(),
+            Some("\u{fffd}A")
+        );
     }
 
     #[test]

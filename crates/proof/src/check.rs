@@ -896,9 +896,36 @@ impl Checker {
     }
 
     fn validate(&self, step: &Step) -> Result<(), CheckError> {
+        self.validate_clause(&step.lits, &step.splits)?;
+        let id = self.admitted;
+        for &ant in &step.ants {
+            if ant >= id {
+                return Err(CheckError::FutureAntecedent {
+                    step: id,
+                    cited: ant,
+                });
+            }
+        }
+        for &del in &step.dels {
+            // `del < id` implies `step_clause[del]` exists (one entry
+            // per admitted step). Deleting an already-deleted step is
+            // allowed: retirement is idempotent.
+            if del >= id || self.step_clause[del as usize] == NO_CLAUSE {
+                return Err(CheckError::BadDeletion {
+                    step: id,
+                    cited: del,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks that every literal and split names an in-range variable
+    /// of the right kind (errors cite the next step id).
+    fn validate_clause(&self, lits: &[PLit], splits: &[PSplit]) -> Result<(), CheckError> {
         let id = self.admitted;
         let n = self.lowered.init_dom.len() as u32;
-        for lit in &step.lits {
+        for lit in lits {
             let var = lit.var();
             if var >= n {
                 return Err(CheckError::BadLit {
@@ -925,7 +952,7 @@ impl Checker {
                 }
             }
         }
-        for split in &step.splits {
+        for split in splits {
             let (var, is_bool) = match *split {
                 PSplit::Bool { var } => (var, true),
                 PSplit::Word { var, .. } => (var, false),
@@ -945,19 +972,6 @@ impl Checker {
                     step: id,
                     detail: format!("split kind mismatch on variable {var}"),
                 });
-            }
-        }
-        for &ant in &step.ants {
-            if ant >= id {
-                return Err(CheckError::FutureAntecedent { step: id, cited: ant });
-            }
-        }
-        for &del in &step.dels {
-            // `del < id` implies `step_clause[del]` exists (one entry
-            // per admitted step). Deleting an already-deleted step is
-            // allowed: retirement is idempotent.
-            if del >= id || self.step_clause[del as usize] == NO_CLAUSE {
-                return Err(CheckError::BadDeletion { step: id, cited: del });
             }
         }
         Ok(())
@@ -1069,44 +1083,13 @@ impl Checker {
     /// ([`CheckError::NotImplied`], [`CheckError::Budget`]).
     pub fn admit(&mut self, step: &Step) -> Result<(), CheckError> {
         self.validate(step)?;
-        let id = self.admitted;
         // Deletions precede the derivation (the producer retired these
         // clauses *before* learning this lemma), so apply them before
         // the refutation search. On a failed admit the retirements
         // stick, mirroring the producer: its clauses are gone whether or
         // not the next lemma justifies.
         self.apply_dels(step);
-        if !self.base_conflict {
-            let mut trial = self.base.clone();
-            let mut touched = Vec::new();
-            let refuted = self.assert_negations(&mut trial, &step.lits, &mut touched);
-            if !refuted {
-                let mut nodes = REFUTE_BUDGET;
-                let Checker {
-                    lowered,
-                    clauses,
-                    clause_watch,
-                    deleted,
-                    scratch,
-                    ..
-                } = &mut *self;
-                let ctx = Ctx {
-                    lowered,
-                    clauses,
-                    clause_watch,
-                    deleted,
-                };
-                let r = ctx.refute(trial, scratch, &touched, true, &step.splits, 0, &mut nodes);
-                self.nodes_used += REFUTE_BUDGET - nodes;
-                match r {
-                    Ok(()) => {}
-                    Err(RefuteFail::NotImplied) => {
-                        return Err(CheckError::NotImplied { step: id })
-                    }
-                    Err(RefuteFail::Budget) => return Err(CheckError::Budget { step: id }),
-                }
-            }
-        }
+        self.refute_negation(&step.lits, &step.splits)?;
         if step.lits.is_empty() {
             self.base_conflict = true;
             self.step_clause.push(NO_CLAUSE);
@@ -1116,6 +1099,62 @@ impl Checker {
         }
         self.admitted += 1;
         Ok(())
+    }
+
+    /// Checks that the clause `lits` follows from the netlist and the
+    /// steps admitted so far, with `splits` as its case-split tree —
+    /// the same validation and refutation [`Checker::admit`] runs — but
+    /// installs nothing: the clause joins no database, creates no step
+    /// id, and leaves the checker exactly as it was. This is how an
+    /// incremental session certifies a query's final clause
+    /// `¬a₁ ∨ … ∨ ¬aₖ`, which depends on that query's assumptions and
+    /// so must not constrain later queries.
+    ///
+    /// # Errors
+    ///
+    /// [`CheckError::BadLit`] and [`CheckError::BadSplit`] for malformed
+    /// input, [`CheckError::NotImplied`] and [`CheckError::Budget`] when
+    /// the clause does not follow; errors cite the next step id.
+    pub fn check_clause(&mut self, lits: &[PLit], splits: &[PSplit]) -> Result<(), CheckError> {
+        self.validate_clause(lits, splits)?;
+        self.refute_negation(lits, splits)
+    }
+
+    /// Asserts the negation of `lits` over a copy of the base and
+    /// replays `splits` until every branch conflicts. Vacuous once the
+    /// base itself is contradictory.
+    fn refute_negation(&mut self, lits: &[PLit], splits: &[PSplit]) -> Result<(), CheckError> {
+        if self.base_conflict {
+            return Ok(());
+        }
+        let id = self.admitted;
+        let mut trial = self.base.clone();
+        let mut touched = Vec::new();
+        if self.assert_negations(&mut trial, lits, &mut touched) {
+            return Ok(());
+        }
+        let mut nodes = REFUTE_BUDGET;
+        let Checker {
+            lowered,
+            clauses,
+            clause_watch,
+            deleted,
+            scratch,
+            ..
+        } = &mut *self;
+        let ctx = Ctx {
+            lowered,
+            clauses,
+            clause_watch,
+            deleted,
+        };
+        let r = ctx.refute(trial, scratch, &touched, true, splits, 0, &mut nodes);
+        self.nodes_used += REFUTE_BUDGET - nodes;
+        match r {
+            Ok(()) => Ok(()),
+            Err(RefuteFail::NotImplied) => Err(CheckError::NotImplied { step: id }),
+            Err(RefuteFail::Budget) => Err(CheckError::Budget { step: id }),
+        }
     }
 
     /// Producer-side escape hatch: records a clause in the database

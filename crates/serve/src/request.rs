@@ -9,7 +9,8 @@
 //! {"op":"shutdown"}
 //! ```
 //!
-//! Unknown keys are rejected (a typo'd budget knob silently ignored
+//! Unknown and duplicate keys are rejected (a typo'd budget knob
+//! silently ignored, or one of two conflicting values silently picked,
 //! would be a correctness hazard in a long-running service); unknown
 //! *values* produce per-request errors, never parser panics. The parser
 //! is the service's trust boundary: everything after it works with
@@ -124,29 +125,43 @@ fn bool_field(v: &Value, key: &str) -> Result<Option<bool>, String> {
     }
 }
 
-fn str_field(v: &Value, key: &str) -> Result<Option<String>, String> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(f) => f
-            .as_str()
-            .map(|s| Some(s.to_string()))
-            .ok_or_else(|| format!("`{key}` must be a string")),
+/// Moves a string field out of the request object, so a large inline
+/// netlist is never copied.
+fn take_str(v: &mut Value, key: &str) -> Result<Option<String>, String> {
+    let Value::Obj(fields) = v else {
+        return Ok(None);
+    };
+    let Some((_, f)) = fields.iter_mut().find(|(k, _)| k == key) else {
+        return Ok(None);
+    };
+    match std::mem::replace(f, Value::Null) {
+        Value::Str(s) => Ok(Some(s)),
+        _ => Err(format!("`{key}` must be a string")),
     }
+}
+
+/// Rejects keys outside `known`, and keys given twice; `what` names
+/// the object in the message.
+fn check_keys(fields: &[(String, Value)], known: &[&str], what: &str) -> Result<(), String> {
+    for (i, (key, _)) in fields.iter().enumerate() {
+        if !known.contains(&key.as_str()) {
+            return Err(format!("unknown {what}key `{key}`"));
+        }
+        if fields[..i].iter().any(|(k, _)| k == key) {
+            return Err(format!("duplicate {what}key `{key}`"));
+        }
+    }
+    Ok(())
 }
 
 fn parse_fault(v: &Value) -> Result<FaultPlan, String> {
     let Some(fault) = v.get("fault") else {
         return Ok(FaultPlan::default());
     };
-    if let Value::Obj(fields) = fault {
-        for (key, _) in fields {
-            if !KNOWN_FAULT_KEYS.contains(&key.as_str()) {
-                return Err(format!("unknown fault key `{key}`"));
-            }
-        }
-    } else {
+    let Value::Obj(fields) = fault else {
         return Err("`fault` must be an object".to_string());
-    }
+    };
+    check_keys(fields, KNOWN_FAULT_KEYS, "fault ")?;
     Ok(FaultPlan {
         corrupt_learned_clause: u64_field(fault, "corrupt_learned_clause")?,
         drop_narrowing: u64_field(fault, "drop_narrowing")?,
@@ -162,11 +177,14 @@ fn parse_fault(v: &Value) -> Result<FaultPlan, String> {
 /// record; the caller decides how to report it. Blank lines are the
 /// caller's concern (the serve loop skips them without a record).
 pub fn parse_line(line: &str) -> Result<RequestLine, String> {
-    let v = json::parse(line).map_err(|e| format!("malformed JSON: {e}"))?;
+    let mut v = json::parse(line).map_err(|e| format!("malformed JSON: {e}"))?;
     let Value::Obj(fields) = &v else {
         return Err("request must be a JSON object".to_string());
     };
     if let Some(op) = v.get("op") {
+        if fields.iter().filter(|(k, _)| k == "op").count() > 1 {
+            return Err("duplicate key `op`".to_string());
+        }
         return match op.as_str() {
             Some("shutdown") => Ok(RequestLine::Shutdown),
             Some("status") => Ok(RequestLine::Status),
@@ -174,17 +192,13 @@ pub fn parse_line(line: &str) -> Result<RequestLine, String> {
             None => Err("`op` must be a string".to_string()),
         };
     }
-    for (key, _) in fields {
-        if !KNOWN_KEYS.contains(&key.as_str()) {
-            return Err(format!("unknown key `{key}`"));
-        }
-    }
-    let id = str_field(&v, "id")?.ok_or("missing `id`")?;
+    check_keys(fields, KNOWN_KEYS, "")?;
+    let id = take_str(&mut v, "id")?.ok_or("missing `id`")?;
     if id.is_empty() || id.len() > 256 {
         return Err("`id` must be 1..=256 bytes".to_string());
     }
-    let goal = str_field(&v, "goal")?.ok_or("missing `goal`")?;
-    let source = match (str_field(&v, "file")?, str_field(&v, "netlist")?) {
+    let goal = take_str(&mut v, "goal")?.ok_or("missing `goal`")?;
+    let source = match (take_str(&mut v, "file")?, take_str(&mut v, "netlist")?) {
         (Some(path), None) => NetlistSource::File(path),
         (None, Some(text)) => NetlistSource::Inline(text),
         (Some(_), Some(_)) => return Err("`file` and `netlist` are mutually exclusive".to_string()),
@@ -194,7 +208,7 @@ pub fn parse_line(line: &str) -> Result<RequestLine, String> {
         id,
         source,
         goal,
-        engine: str_field(&v, "engine")?,
+        engine: take_str(&mut v, "engine")?,
         timeout_ms: u64_field(&v, "timeout_ms")?,
         check: bool_field(&v, "check")?,
         fallback: bool_field(&v, "fallback")?,
@@ -276,6 +290,25 @@ mod tests {
             r#"{"id":"x","file":"a.rtl","goal":"g","fault":3}"#,
         ] {
             assert!(parse_line(bad).is_err(), "must reject: {bad}");
+        }
+    }
+
+    #[test]
+    fn duplicate_keys_are_rejected() {
+        for (bad, key) in [
+            (r#"{"goal":"a","goal":"b","id":"x","file":"f"}"#, "goal"),
+            (r#"{"id":"x","file":"f","goal":"g","id":"y"}"#, "id"),
+            (
+                r#"{"id":"x","file":"f","goal":"g","fault":{"drop_narrowing":1,"drop_narrowing":2}}"#,
+                "drop_narrowing",
+            ),
+            (r#"{"op":"status","op":"shutdown"}"#, "op"),
+        ] {
+            let err = parse_line(bad).unwrap_err();
+            assert!(
+                err.contains("duplicate") && err.contains(key),
+                "{bad}: {err}"
+            );
         }
     }
 }

@@ -15,6 +15,7 @@
 //! thread: jobs carry only strings, and each worker builds the
 //! netlist, supervisor, and telemetry sink locally per request.
 
+use std::borrow::Cow;
 use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -486,9 +487,13 @@ fn process(
                 .and_then(|s| s.to_str())
                 .unwrap_or(path)
                 .to_string();
-            (case, path.clone(), text)
+            (case, path.clone(), Cow::Owned(text))
         }
-        NetlistSource::Inline(text) => (req.id.clone(), "<inline>".to_string(), text.clone()),
+        NetlistSource::Inline(text) => (
+            req.id.clone(),
+            "<inline>".to_string(),
+            Cow::Borrowed(text.as_str()),
+        ),
     };
     let netlist = match rtl_ir::text::parse(&source_text) {
         Ok(n) => n,
